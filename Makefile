@@ -133,4 +133,7 @@ cachesmoke:
 # SIGKILL/recover cycles against the race-built server.
 # cachesmoke adds a few seconds: one more race-built otserve cycle
 # under a zipf workload with a byte-identity check on a cached answer.
-ci: build vet test race benchsmoke benchpacked benchincremental servesmoke cachesmoke chaossmoke
+# fuzz adds ~1 min: its packed-vs-scalar and incremental differentials
+# are what hold the shared CONNECT round (graph.Labeling) to identical
+# labels, bit-times and health on both engines.
+ci: build vet test race fuzz benchsmoke benchpacked benchincremental servesmoke cachesmoke chaossmoke

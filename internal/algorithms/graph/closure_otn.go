@@ -36,7 +36,7 @@ func ClosureOTN(m *core.Machine, rel vlsi.Time) ([][]int64, vlsi.Time) {
 
 	for round := 0; round < vlsi.Log2Ceil(n); round++ {
 		// acc(v,u), staged in cand, starts all-zero (register
-		// initialization, like b1's T staging in ccRound).
+		// initialization, like b1's T staging in the CONNECT round).
 		for v := 0; v < n; v++ {
 			for u := 0; u < n; u++ {
 				m.Set(regCand, v, u, 0)

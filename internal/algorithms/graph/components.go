@@ -74,78 +74,128 @@ func LoadGraph(m *core.Machine, g *workload.Graph) {
 //
 // Each iteration merges every non-isolated component with another, so
 // ⌈log N⌉ iterations suffice; with Θ(log² N) per primitive and
-// Θ(log N) jumps per iteration the total is Θ(log⁴ N).
+// Θ(log N) jumps per iteration the total is Θ(log⁴ N). The run is a
+// Labeling's full run: the restricted round over S = every vertex.
 func ConnectedComponents(m *core.Machine, rel vlsi.Time) ([]int64, vlsi.Time) {
-	n := m.K
-	d := make([]int64, n)
-	for v := range d {
-		d[v] = int64(v)
-	}
-	t := rel
-	maxRounds := vlsi.Log2Ceil(n) + 2
-	for round := 0; round < maxRounds; round++ {
-		var changed bool
-		d, t, changed = ccRound(m, d, t)
-		if !changed {
-			break
-		}
-	}
-	return d, t
+	l := NewLabeling(make([]int64, m.K), m.Cfg.WordBits, newScalar(m, nil))
+	t := l.Full(rel)
+	return l.d, t
 }
 
-// ComponentsRound exposes one hook-and-contract iteration for
-// step-decomposed execution (the recovery supervisor of
-// internal/resilience re-runs the exact loop body ConnectedComponents
+// ComponentsRound exposes one hook-and-contract iteration over every
+// vertex for step-decomposed execution (the recovery supervisor of
+// internal/resilience re-runs the exact round ConnectedComponents
 // uses, one checkpointable step per round). It returns the new
 // labels, the completion time and whether anything moved.
 func ComponentsRound(m *core.Machine, d []int64, rel vlsi.Time) ([]int64, vlsi.Time, bool) {
-	return ccRound(m, d, rel)
+	b := newScalar(m, nil)
+	l := NewLabeling(make([]int64, len(d)), m.Cfg.WordBits, b)
+	l.seed(true)
+	copy(l.Work, d)
+	t, changed := b.Round(&l, rel)
+	return l.Work, t, changed
 }
 
 // ComponentsMaxRounds is the iteration bound ConnectedComponents uses
 // for an n-vertex graph.
 func ComponentsMaxRounds(n int) int { return vlsi.Log2Ceil(n) + 2 }
 
-// ccRound performs one hook-and-contract iteration, returning the new
-// labels, the completion time and whether anything moved.
-func ccRound(m *core.Machine, d []int64, rel vlsi.Time) ([]int64, vlsi.Time, bool) {
-	n := m.K
+// scalar is the machine Backend of a Labeling: the adjacency lives in
+// the graph shadow g and in m's adj register (scalar bank and bit-bank
+// shadow), and the round runs on the OTN's trees.
+type scalar struct {
+	m *core.Machine
+	g *workload.Graph // nil when no update batch is ever folded in
 
-	// (a1) D(u) down every column: BP(v,u).Dcol = D(u).
+	// Per-round scratch; a round reads only the entries of S.
+	cOf, hook, prev []int64
+}
+
+func newScalar(m *core.Machine, g *workload.Graph) *scalar {
+	n := m.K
+	return &scalar{m: m, g: g, cOf: make([]int64, n), hook: make([]int64, n), prev: make([]int64, n)}
+}
+
+func (b *scalar) Edge(u, v int) bool { return b.g.Adj[u][v] }
+
+func (b *scalar) SetEdge(u, v int, on bool) {
+	var a int64
+	if on {
+		a = 1
+	}
+	b.g.Adj[u][v] = on
+	b.g.Adj[v][u] = on
+	b.m.Set(regAdj, u, v, a)
+	b.m.Set(regAdj, v, u, a)
+	b.m.SetBit(regAdj, u, v, on)
+	b.m.SetBit(regAdj, v, u, on)
+}
+
+func (*scalar) Select(*Labeling) {}
+
+// Round performs one hook-and-contract iteration with every tree
+// operation restricted to the rows/columns of S: deselected vectors
+// return the release time unchanged, and selective ascents on healthy
+// trees cost the same uniform reduce as full ones, so the time
+// accounting is the full round skeleton with |S|-bounded pointer
+// jumping. Stale register contents outside S are masked by the row
+// selector in phase (b2); phase (a3) guards candidates to S columns
+// because S is edge-closed only in the graph, not in the leftover
+// register state. With S = every vertex no guard fires.
+func (b *scalar) Round(l *Labeling, rel vlsi.Time) (vlsi.Time, bool) {
+	m, n := b.m, b.m.K
+	inS, sv, work := l.inS, l.S, l.Work
+	cOf, hook, prev := b.cOf, b.hook, b.prev
+	var selS core.Sel // nil selects every row, as S = every vertex does
+	if len(sv) < n {
+		selS = func(k int) bool { return inS[k] }
+	}
+
+	// (a1) working label down every S column: BP(v,u).Dcol = D(u).
 	t := m.ParDo(false, rel, func(vec core.Vector, r vlsi.Time) vlsi.Time {
-		m.SetColRoot(vec.Index, d[vec.Index])
+		if !inS[vec.Index] {
+			return r
+		}
+		m.SetColRoot(vec.Index, work[vec.Index])
 		return m.RootToLeaf(vec, nil, regDcol, r)
 	})
-	// (a2) D(v) along every row: BP(v,u).Drow = D(v).
+	// (a2) working label along every S row: BP(v,u).Drow = D(v).
 	t = m.ParDo(true, t, func(vec core.Vector, r vlsi.Time) vlsi.Time {
-		m.SetRowRoot(vec.Index, d[vec.Index])
+		if !inS[vec.Index] {
+			return r
+		}
+		m.SetRowRoot(vec.Index, work[vec.Index])
 		return m.RootToLeaf(vec, nil, regDrow, r)
 	})
-	// (a3) candidate at BP(v,u): D(u) if the edge exists and joins
-	// different components. On a healthy machine whose adjacency has a
-	// packed shadow (LoadGraph), the sweep word-skips the zero spans of
-	// each row: the bit bank is the exact Boolean image of adj and the
-	// sparse Gnp rows are mostly zero, so the host cost drops from
-	// three register reads per cell to one write plus a per-edge probe.
-	// The values written are identical either way (adj holds only 0/1),
-	// and the charged time below is a data-independent local step.
+	// (a3) candidate at BP(v,u) on the S rows: D(u) if the edge exists
+	// and joins different components. On a healthy machine whose
+	// adjacency has a packed shadow (LoadGraph), the sweep word-skips
+	// the zero spans of each row: the bit bank is the exact Boolean
+	// image of adj and the sparse Gnp rows are mostly zero, so the host
+	// cost drops from three register reads per cell to one write plus
+	// a per-edge probe. The values written are identical either way
+	// (adj holds only 0/1), and the charged time below is a
+	// data-independent local step.
 	if !m.Faulty() && m.HasBitBank(regAdj) {
 		adj := m.BitBank(regAdj)
-		for v := 0; v < n; v++ {
+		for _, v := range sv {
 			for u := 0; u < n; u++ {
 				m.Set(regCand, v, u, core.Null)
 			}
 			bits.ForEach(adj.Row(v), func(u int) {
+				if !inS[u] {
+					return
+				}
 				if c := m.Get(regDcol, v, u); c != m.Get(regDrow, v, u) {
 					m.Set(regCand, v, u, c)
 				}
 			})
 		}
 	} else {
-		for v := 0; v < n; v++ {
+		for _, v := range sv {
 			for u := 0; u < n; u++ {
 				c := core.Null
-				if m.Get(regAdj, v, u) == 1 && m.Get(regDcol, v, u) != m.Get(regDrow, v, u) {
+				if inS[u] && m.Get(regAdj, v, u) == 1 && m.Get(regDcol, v, u) != m.Get(regDrow, v, u) {
 					c = m.Get(regDcol, v, u)
 				}
 				m.Set(regCand, v, u, c)
@@ -153,80 +203,76 @@ func ccRound(m *core.Machine, d []int64, rel vlsi.Time) ([]int64, vlsi.Time, boo
 		}
 	}
 	t = m.Local(t, m.CostCompare())
-	// (a4) C(v) = min candidate along row v.
-	cOf := make([]int64, n)
+	// (a4) C(v) = min candidate along each S row.
 	t = m.ParDo(true, t, func(vec core.Vector, r vlsi.Time) vlsi.Time {
+		if !inS[vec.Index] {
+			return r
+		}
 		done := m.MinLeafToRoot(vec, nil, regCand, r)
 		cOf[vec.Index] = m.RowRoot(vec.Index)
 		return done
 	})
 
-	// (b1) stage C(v) at BP(v, D(v)) — a selective row broadcast
-	// (the row root already holds C(v)).
-	for v := 0; v < n; v++ {
+	// (b1) stage C(v) at BP(v, D(v)) on the S rows — a selective row
+	// broadcast (the row root already holds C(v)).
+	for _, v := range sv {
 		for u := 0; u < n; u++ {
 			m.Set(regT, v, u, core.Null)
 		}
 	}
 	t = m.ParDo(true, t, func(vec core.Vector, r vlsi.Time) vlsi.Time {
 		v := vec.Index
-		if cOf[v] == core.Null {
+		if !inS[v] || cOf[v] == core.Null {
 			return r
 		}
 		m.SetRowRoot(v, cOf[v])
-		return m.RootToLeaf(vec, core.One(int(d[v])), regT, r)
+		return m.RootToLeaf(vec, core.One(int(work[v])), regT, r)
 	})
-	// (b2) T(s) = min over column s.
-	hook := make([]int64, n)
+	// (b2) T(s) = min over the S rows of column s; the selector masks
+	// stale T cells left in non-S rows by earlier runs.
 	t = m.ParDo(false, t, func(vec core.Vector, r vlsi.Time) vlsi.Time {
-		done := m.MinLeafToRoot(vec, nil, regT, r)
+		if !inS[vec.Index] {
+			return r
+		}
+		done := m.MinLeafToRoot(vec, selS, regT, r)
 		hook[vec.Index] = m.ColRoot(vec.Index)
 		return done
 	})
 
-	// (c) resolve hooks. Hooking to the minimum neighbouring
-	// component admits only 2-cycles (along any longer cycle the
-	// labels would descend forever); break them toward the smaller
-	// label. The E(E(s)) lookup is one more column broadcast + row
-	// pick on chip; its values are already at the roots, so charge
-	// one LEAFTOLEAF round.
-	newD := append([]int64(nil), d...)
-	changed := false
-	for s := 0; s < n; s++ {
-		if d[s] != int64(s) {
-			continue // not a root
-		}
-		e := hook[s]
-		if e == core.Null {
-			continue
-		}
-		if hook[e] == int64(s) && int64(s) < e {
-			continue // the partner (larger) keeps its hook
-		}
-		newD[s] = e
-		changed = true
-	}
+	// (c) resolve hooks at the S roots. The E(E(s)) lookup is one more
+	// column broadcast + row pick on chip; its values are already at
+	// the roots, so charge one LEAFTOLEAF round.
+	changed := l.ResolveHooks(hook)
 	t = m.ParDo(false, t, func(vec core.Vector, r vlsi.Time) vlsi.Time {
+		if !inS[vec.Index] {
+			return r
+		}
 		return m.RootToLeaf(vec, core.One(vec.Index%m.K), regT, r)
 	})
 
-	// (d) pointer jumping: D(v) := D(D(v)), ⌈log N⌉ times. Each jump
-	// broadcasts D down the columns and lets row v pick column
+	// (d) pointer jumping: D(v) := D(D(v)), ⌈log₂|S|⌉ times. Each jump
+	// broadcasts D down the S columns and lets row v pick column
 	// D(v)'s value.
-	for j := 0; j < vlsi.Log2Ceil(n); j++ {
-		prev := append([]int64(nil), newD...)
+	for j := 0; j < l.Jumps(); j++ {
+		copy(prev, work)
 		t = m.ParDo(false, t, func(vec core.Vector, r vlsi.Time) vlsi.Time {
+			if !inS[vec.Index] {
+				return r
+			}
 			m.SetColRoot(vec.Index, prev[vec.Index])
 			return m.RootToLeaf(vec, nil, regDcol, r)
 		})
 		t = m.ParDo(true, t, func(vec core.Vector, r vlsi.Time) vlsi.Time {
 			v := vec.Index
+			if !inS[v] {
+				return r
+			}
 			done := m.LeafToRoot(vec, core.One(int(prev[v])), regDcol, r)
-			newD[v] = m.RowRoot(v)
+			work[v] = m.RowRoot(v)
 			return done
 		})
 	}
-	return newD, t, changed
+	return t, changed
 }
 
 // RefComponents is the union-find reference labelling; labels are the

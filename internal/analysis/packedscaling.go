@@ -48,7 +48,7 @@ func PackedScalingStudy(ns []int) (*Experiment, error) {
 			return g, graph.RefComponents(g)
 		}
 
-		cells = append(cells, memoCell(e.ID, "otn-packed", n, ComponentsClaims["otn"], func() (Row, error) {
+		cells = append(cells, func() (Row, error) {
 			g, want := gen()
 			eng, err := packed.EngineFor(n, cfg, false)
 			if err != nil {
@@ -79,9 +79,9 @@ func PackedScalingStudy(ns []int) (*Experiment, error) {
 				}
 			}
 			return Row{Network: "otn-packed", N: n, Area: eng.Area(), Time: t, Claim: ComponentsClaims["otn"]}, nil
-		}))
+		})
 
-		cells = append(cells, memoCell(e.ID, "otn-scaled-packed", n, ComponentsClaims["otn"], func() (Row, error) {
+		cells = append(cells, func() (Row, error) {
 			g, want := gen()
 			eng, err := packed.EngineFor(n, cfg, true)
 			if err != nil {
@@ -92,9 +92,9 @@ func PackedScalingStudy(ns []int) (*Experiment, error) {
 				return Row{}, fmt.Errorf("packed scaled otn components wrong at n=%d", n)
 			}
 			return Row{Network: "otn-scaled-packed", N: n, Area: eng.Area(), Time: t, Claim: ComponentsClaims["otn"]}, nil
-		}))
+		})
 
-		cells = append(cells, memoCell(e.ID, "mesh", n, ComponentsClaims["mesh"], func() (Row, error) {
+		cells = append(cells, func() (Row, error) {
 			g, want := gen()
 			adj := make([][]int64, n)
 			for i := range adj {
@@ -114,7 +114,7 @@ func PackedScalingStudy(ns []int) (*Experiment, error) {
 				return Row{}, fmt.Errorf("mesh components wrong at n=%d", n)
 			}
 			return Row{Network: "mesh", N: n, Area: mm.Area(), Time: t, Claim: ComponentsClaims["mesh"]}, nil
-		}))
+		})
 	}
 	rows, err := runCells(cells)
 	if err != nil {

@@ -26,7 +26,6 @@ import (
 	"fmt"
 
 	"repro/internal/bits"
-	"repro/internal/core"
 	"repro/internal/layout"
 	"repro/internal/tree"
 	"repro/internal/vlsi"
@@ -117,111 +116,12 @@ func (e *Engine) Components(g *workload.Graph, rel vlsi.Time) ([]int64, vlsi.Tim
 	return e.componentsFrom(PackGraph(g), rel)
 }
 
-// componentsFrom is the engine core over a packed adjacency.
+// componentsFrom is the engine core over a packed adjacency, which it
+// only reads: the full run of a labeling over adj.
 func (e *Engine) componentsFrom(adj *bits.Matrix, rel vlsi.Time) ([]int64, vlsi.Time) {
-	n := e.K
-	if adj.N != n {
-		panic(fmt.Sprintf("packed: %d-vertex adjacency on a (%d×%d) engine", adj.N, e.K, e.K))
-	}
-	d := make([]int64, n)
-	for v := range d {
-		d[v] = int64(v)
-	}
-	t := rel
-	maxRounds := vlsi.Log2Ceil(n) + 2
-	for round := 0; round < maxRounds; round++ {
-		var changed bool
-		d, t, changed = e.ccRound(adj, d, t)
-		if !changed {
-			break
-		}
-	}
-	return d, t
-}
-
-// ccRound replays one hook-and-contract iteration of graph.ccRound:
-// each primitive's duration comes from the fused tables, each data
-// step is the scalar step evaluated over packed adjacency rows.
-func (e *Engine) ccRound(adj *bits.Matrix, d []int64, rel vlsi.Time) ([]int64, vlsi.Time, bool) {
-	n := e.K
-
-	// (a1) D down every column, (a2) D along every row, (a3) local
-	// candidate compare, (a4) MIN ascent per row.
-	t := rel + e.ccFixedA
-	cOf := make([]int64, n)
-	for v := 0; v < n; v++ {
-		c := core.Null
-		dv := d[v]
-		bits.ForEach(adj.Row(v), func(u int) {
-			if du := d[u]; du != dv && (c == core.Null || du < c) {
-				c = du
-			}
-		})
-		cOf[v] = c
-	}
-
-	// (b1) stage C(v) at column D(v): a selective row broadcast that
-	// only charges when some row actually floods (ParDo is a max, and
-	// deselected rows return their release time unchanged).
-	anyHook := false
-	for v := 0; v < n; v++ {
-		if cOf[v] != core.Null {
-			anyHook = true
-			break
-		}
-	}
-	if anyHook {
-		t += e.fRow.Broadcast
-	}
-	// (b2) MIN per column + (c) the hook-resolution broadcast.
-	t += e.ccFixedB2C
-	hook := make([]int64, n)
-	for s := range hook {
-		hook[s] = core.Null
-	}
-	for v := 0; v < n; v++ {
-		if cOf[v] == core.Null {
-			continue
-		}
-		s := d[v]
-		if hook[s] == core.Null || cOf[v] < hook[s] {
-			hook[s] = cOf[v]
-		}
-	}
-
-	// (c) resolve hooks — the scalar logic verbatim.
-	newD := append([]int64(nil), d...)
-	changed := false
-	for s := 0; s < n; s++ {
-		if d[s] != int64(s) {
-			continue
-		}
-		ee := hook[s]
-		if ee == core.Null {
-			continue
-		}
-		if hook[ee] == int64(s) && int64(s) < ee {
-			continue
-		}
-		newD[s] = ee
-		changed = true
-	}
-
-	// (d) pointer jumping: per jump, a column broadcast plus the
-	// slowest row gather from leaf prev[v].
-	for j := 0; j < vlsi.Log2Ceil(n); j++ {
-		prev := append([]int64(nil), newD...)
-		t += e.fCol.Broadcast
-		var maxG vlsi.Time
-		for v := 0; v < n; v++ {
-			if g := e.fRow.Gather[prev[v]]; g > maxG {
-				maxG = g
-			}
-			newD[v] = prev[prev[v]]
-		}
-		t += maxG
-	}
-	return newD, t, changed
+	inc := e.newIncremental(adj, make([]int64, e.K))
+	t := inc.Full(rel)
+	return inc.Labels(), t
 }
 
 // Closure computes the reflexive-transitive closure, mirroring

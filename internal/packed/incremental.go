@@ -10,15 +10,14 @@ import (
 	"repro/internal/workload"
 )
 
-// Incremental is the packed counterpart of graph.Incremental: it
-// maintains component labels of a packed adjacency under streamed
-// update batches, re-sweeping only the dirty words of the affected
-// set S. The timing skeleton mirrors the scalar restricted round term
-// for term — ccFixedA, the conditional hook broadcast, ccFixedB2C and
-// ⌈log₂|S|⌉ pointer jumps per round, ⌈log₂|S|⌉+2 rounds per batch —
-// so a healthy machine's scalar incremental run and this engine agree
-// on every label and every completion bit-time, which is what the
-// differential fuzz in this package pins.
+// Incremental is the packed counterpart of graph.Incremental: a
+// graph.Labeling whose rounds replay the scalar restricted round term
+// for term from the engine's fused tables — ccFixedA, the conditional
+// hook broadcast, ccFixedB2C and ⌈log₂|S|⌉ pointer jumps per round,
+// ⌈log₂|S|⌉+2 rounds per batch — so a healthy machine's scalar
+// incremental run and this engine agree on every label and every
+// completion bit-time, which is what the differential fuzz in this
+// package pins.
 //
 // The host win is the dirty-word mask: S is kept as a packed bitmask
 // plus the list of its non-zero word indices, and the candidate scan
@@ -26,24 +25,7 @@ import (
 // in a small component costs a few words of host work instead of the
 // full N×N/64-word sweep of a recompute.
 type Incremental struct {
-	e   *Engine
-	adj *bits.Matrix
-	d   []int64
-
-	// In-flight batch state (between ApplyUpdates and Commit).
-	work   []int64
-	inS    []bool
-	sv     []int
-	smask  []uint64 // packed image of inS
-	swords []int    // non-zero word indices of smask
-	hook   []int64  // per-label scratch, reset only at S entries
-	prev   []int64  // pointer-jump scratch, ditto
-
-	roundsDone int
-	maxRounds  int
-	converged  bool
-	pending    bool
-	last       graph.BatchStats
+	graph.Labeling
 }
 
 // NewIncremental packs g, runs the initial full labeling on e and
@@ -53,18 +35,8 @@ func NewIncremental(e *Engine, g *workload.Graph, rel vlsi.Time) (*Incremental, 
 	if g.N != e.K {
 		panic(fmt.Sprintf("packed: %d vertices on a (%d×%d) engine", g.N, e.K, e.K))
 	}
-	adj := PackGraph(g)
-	d, t := e.componentsFrom(adj, rel)
-	n := e.K
-	return &Incremental{
-		e: e, adj: adj, d: d,
-		work:  append([]int64(nil), d...),
-		inS:   make([]bool, n),
-		smask: make([]uint64, bits.Words(n)),
-		hook:  make([]int64, n),
-		prev:  make([]int64, n),
-		converged: true,
-	}, t
+	inc := e.newIncremental(PackGraph(g), make([]int64, e.K))
+	return inc, inc.Full(rel)
 }
 
 // ResumeIncremental rebuilds an engine around previously committed
@@ -75,252 +47,124 @@ func ResumeIncremental(e *Engine, g *workload.Graph, labels []int64) *Incrementa
 	if g.N != e.K {
 		panic(fmt.Sprintf("packed: %d vertices on a (%d×%d) engine", g.N, e.K, e.K))
 	}
+	return e.newIncremental(PackGraph(g), append([]int64(nil), labels...))
+}
+
+// newIncremental returns an engine over adj with committed labels d.
+func (e *Engine) newIncremental(adj *bits.Matrix, d []int64) *Incremental {
+	if adj.N != e.K {
+		panic(fmt.Sprintf("packed: %d-vertex adjacency on a (%d×%d) engine", adj.N, e.K, e.K))
+	}
 	n := e.K
-	d := append([]int64(nil), labels...)
-	return &Incremental{
-		e: e, adj: PackGraph(g), d: d,
-		work:  append([]int64(nil), d...),
-		inS:   make([]bool, n),
-		smask: make([]uint64, bits.Words(n)),
-		hook:  make([]int64, n),
-		prev:  make([]int64, n),
-		converged: true,
+	w := &words{
+		e: e, adj: adj,
+		smask:  make([]uint64, bits.Words(n)),
+		swords: make([]int, 0, bits.Words(n)),
+		cand:   make([]int64, n),
+		hook:   make([]int64, n),
+		prev:   make([]int64, n),
+	}
+	return &Incremental{graph.NewLabeling(d, e.Cfg.WordBits, w)}
+}
+
+// words is the packed graph.Backend: the adjacency as packed rows, the
+// dirty-word mask of S, and per-round scratch.
+type words struct {
+	e      *Engine
+	adj    *bits.Matrix
+	smask  []uint64 // packed image of S
+	swords []int    // non-zero word indices of smask
+	cand   []int64  // per-S-row candidate scratch
+	hook   []int64  // per-label scratch, reset only at S entries
+	prev   []int64  // pointer-jump scratch, ditto
+}
+
+func (w *words) Edge(u, v int) bool { return w.adj.Get(u, v) }
+
+func (w *words) SetEdge(u, v int, on bool) {
+	w.adj.SetTo(u, v, on)
+	w.adj.SetTo(v, u, on)
+}
+
+// Select rebuilds the dirty-word mask for a new S.
+func (w *words) Select(l *graph.Labeling) {
+	for i := range w.smask {
+		w.smask[i] = 0
+	}
+	for _, v := range l.S {
+		w.smask[v/bits.WordBits] |= 1 << (v % bits.WordBits)
+	}
+	w.swords = w.swords[:0]
+	for i, m := range w.smask {
+		if m != 0 {
+			w.swords = append(w.swords, i)
+		}
 	}
 }
 
-// Labels returns a copy of the committed labels.
-func (inc *Incremental) Labels() []int64 { return append([]int64(nil), inc.d...) }
+// Round replays the scalar round over packed words: the fixed
+// broadcast/reduce terms are charged whole (the scalar round issues
+// them on the selected trees at identical duration) while the data
+// step sweeps only dirty words.
+func (w *words) Round(l *graph.Labeling, rel vlsi.Time) (vlsi.Time, bool) {
+	e, work, sv := w.e, l.Work, l.S
 
-// Stats returns the statistics of the last batch.
-func (inc *Incremental) Stats() graph.BatchStats { return inc.last }
-
-// ApplyUpdates folds a batch into the packed adjacency, derives the
-// affected set S from the net changes and builds the dirty-word mask.
-// Mirrors graph.(*Incremental).ApplyUpdates: same S, same stats, same
-// one-word-step charge.
-func (inc *Incremental) ApplyUpdates(batch []workload.EdgeUpdate, rel vlsi.Time) vlsi.Time {
-	n := inc.e.K
-	orig := make(map[int]bool, len(batch))
-	for _, up := range batch {
-		u, v := up.U, up.V
-		if u == v {
-			continue
-		}
-		if u > v {
-			u, v = v, u
-		}
-		key := u*n + v
-		if _, ok := orig[key]; !ok {
-			orig[key] = inc.adj.Get(u, v)
-		}
-		inc.adj.SetTo(u, v, up.Add)
-		inc.adj.SetTo(v, u, up.Add)
-	}
-
-	affected := make(map[int64]bool)
-	changed := 0
-	for key, was := range orig {
-		u, v := key/n, key%n
-		now := inc.adj.Get(u, v)
-		if now == was {
-			continue
-		}
-		changed++
-		if !now || inc.d[u] != inc.d[v] {
-			affected[inc.d[u]] = true
-			affected[inc.d[v]] = true
-		}
-	}
-
-	inc.sv = inc.sv[:0]
-	for i := range inc.smask {
-		inc.smask[i] = 0
-	}
-	for v := 0; v < n; v++ {
-		in := affected[inc.d[v]]
-		inc.inS[v] = in
-		if in {
-			inc.sv = append(inc.sv, v)
-			inc.work[v] = int64(v)
-			inc.smask[v/bits.WordBits] |= 1 << (v % bits.WordBits)
-		} else {
-			inc.work[v] = inc.d[v]
-		}
-	}
-	inc.swords = inc.swords[:0]
-	for i, w := range inc.smask {
-		if w != 0 {
-			inc.swords = append(inc.swords, i)
-		}
-	}
-	inc.roundsDone = 0
-	inc.maxRounds = 0
-	if len(inc.sv) > 0 {
-		inc.maxRounds = vlsi.Log2Ceil(len(inc.sv)) + 2
-	}
-	inc.converged = len(inc.sv) == 0
-	inc.pending = true
-	inc.last = graph.BatchStats{Updates: len(batch), Changed: changed, Affected: len(inc.sv)}
-	return rel + vlsi.Time(inc.e.Cfg.WordBits)
-}
-
-// SkipRound reports whether round index i of the pending batch has
-// nothing to do.
-func (inc *Incremental) SkipRound(i int) bool {
-	return inc.converged || i >= inc.maxRounds
-}
-
-// RoundStep runs one restricted round over the dirty words.
-func (inc *Incremental) RoundStep(rel vlsi.Time) vlsi.Time {
-	if inc.converged || inc.roundsDone >= inc.maxRounds {
-		return rel
-	}
-	t, changed := inc.restrictedRound(rel)
-	inc.roundsDone++
-	if !changed {
-		inc.converged = true
-	}
-	return t
-}
-
-// Commit folds the working labels of S into the committed labels and
-// returns a copy of the result.
-func (inc *Incremental) Commit() []int64 {
-	if inc.pending {
-		for _, v := range inc.sv {
-			inc.d[v] = inc.work[v]
-		}
-		inc.last.Rounds = inc.roundsDone
-		inc.pending = false
-	}
-	return append([]int64(nil), inc.d...)
-}
-
-// ApplyBatch applies one update batch to completion and returns the
-// new labels and the completion time.
-func (inc *Incremental) ApplyBatch(batch []workload.EdgeUpdate, rel vlsi.Time) ([]int64, vlsi.Time) {
-	t := inc.ApplyUpdates(batch, rel)
-	for i := 0; !inc.SkipRound(i); i++ {
-		t = inc.RoundStep(t)
-	}
-	return inc.Commit(), t
-}
-
-// restrictedRound replays the scalar restricted round over packed
-// words: the fixed broadcast/reduce terms are charged whole (the
-// scalar round issues them on the selected trees at identical
-// duration) while the data step sweeps only dirty words.
-func (inc *Incremental) restrictedRound(rel vlsi.Time) (vlsi.Time, bool) {
-	e := inc.e
-	work, sv := inc.work, inc.sv
-
-	// (a1..a4) broadcasts + compare + row MIN, restricted candidate
-	// scan over the dirty words of each affected row.
+	// (a1) D down every column, (a2) D along every row, (a3) local
+	// candidate compare, (a4) MIN ascent per row — the candidate scan
+	// restricted to the dirty words of each affected row.
 	t := rel + e.ccFixedA
-	cand := make([]int64, len(sv))
 	anyHook := false
 	for i, v := range sv {
 		c := core.Null
 		dv := work[v]
-		bits.ForEachMasked(inc.adj.Row(v), inc.smask, inc.swords, func(u int) {
+		bits.ForEachMasked(w.adj.Row(v), w.smask, w.swords, func(u int) {
 			if du := work[u]; du != dv && (c == core.Null || du < c) {
 				c = du
 			}
 		})
-		cand[i] = c
+		w.cand[i] = c
 		if c != core.Null {
 			anyHook = true
 		}
 	}
 
-	// (b1) the selective stage broadcast charges only when some
-	// affected row actually floods.
+	// (b1) stage C(v) at column D(v): a selective row broadcast that
+	// only charges when some row actually floods (ParDo is a max, and
+	// deselected rows return their release time unchanged).
 	if anyHook {
 		t += e.fRow.Broadcast
 	}
 	// (b2) MIN per affected column + (c) the resolution broadcast.
 	t += e.ccFixedB2C
 	for _, s := range sv {
-		inc.hook[s] = core.Null
+		w.hook[s] = core.Null
 	}
 	for i, v := range sv {
-		if cand[i] == core.Null {
+		if w.cand[i] == core.Null {
 			continue
 		}
 		s := work[v]
-		if inc.hook[s] == core.Null || cand[i] < inc.hook[s] {
-			inc.hook[s] = cand[i]
+		if w.hook[s] == core.Null || w.cand[i] < w.hook[s] {
+			w.hook[s] = w.cand[i]
 		}
 	}
-	changed := false
-	for _, s := range sv {
-		if work[s] != int64(s) {
-			continue
-		}
-		ee := inc.hook[s]
-		if ee == core.Null {
-			continue
-		}
-		if inc.hook[ee] == int64(s) && int64(s) < ee {
-			continue
-		}
-		work[s] = ee
-		changed = true
-	}
+	changed := l.ResolveHooks(w.hook)
 
-	// (d) pointer jumping bounded by the hooking forest on S.
-	for j := 0; j < vlsi.Log2Ceil(len(sv)); j++ {
+	// (d) pointer jumping: per jump, a column broadcast plus the
+	// slowest row gather from leaf prev[v].
+	for j := 0; j < l.Jumps(); j++ {
 		for _, v := range sv {
-			inc.prev[v] = work[v]
+			w.prev[v] = work[v]
 		}
 		t += e.fCol.Broadcast
 		var maxG vlsi.Time
 		for _, v := range sv {
-			if g := e.fRow.Gather[inc.prev[v]]; g > maxG {
+			if g := e.fRow.Gather[w.prev[v]]; g > maxG {
 				maxG = g
 			}
-			work[v] = inc.prev[inc.prev[v]]
+			work[v] = w.prev[w.prev[v]]
 		}
 		t += maxG
 	}
 	return t, changed
-}
-
-// Labeler is the streamed-labeling face shared by the scalar and
-// packed incremental engines — what a stateful session holds.
-type Labeler interface {
-	ApplyBatch(batch []workload.EdgeUpdate, rel vlsi.Time) ([]int64, vlsi.Time)
-	Labels() []int64
-	Stats() graph.BatchStats
-}
-
-// NewLabeler extends the adapter to the streamed workload: the graph
-// resident in m starts an incremental engine, packed when m is
-// eligible (the machine itself is then never touched), the exact
-// scalar incremental path otherwise (faulty or traced machines).
-// Returns the engine, the initial labeling's completion time and
-// whether the packed path was taken.
-func NewLabeler(m *core.Machine, g *workload.Graph, rel vlsi.Time) (Labeler, vlsi.Time, bool) {
-	if Eligible(m) {
-		if e, err := engineOf(m); err == nil {
-			inc, t := NewIncremental(e, g, rel)
-			return inc, t, true
-		}
-	}
-	inc, t := graph.NewIncremental(m, g, rel)
-	return inc, t, false
-}
-
-// ResumeLabeler is NewLabeler's recovery path: the committed graph and
-// labels come from a durable snapshot and no initial labeling runs, so
-// no simulated time is charged. The engine choice mirrors NewLabeler
-// so a recovered session streams on the same path it would have lived
-// on uninterrupted.
-func ResumeLabeler(m *core.Machine, g *workload.Graph, labels []int64) (Labeler, bool) {
-	if Eligible(m) {
-		if e, err := engineOf(m); err == nil {
-			return ResumeIncremental(e, g, labels), true
-		}
-	}
-	return graph.ResumeIncremental(m, g, labels), false
 }

@@ -210,11 +210,17 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// Close stops the background sweeper and closes the journal without
-// draining; for tests and callers that never started traffic. Safe
-// after Drain (both are idempotent).
+// Close stops the background sweeper, joins the worker pool and
+// closes the journal without draining: the pool's base context is
+// cancelled first, so queued jobs abort their machine-cache waits
+// instead of running to completion, and sessions are neither
+// compacted nor released. For tests and callers that never started
+// traffic. Safe before or after Drain (both are idempotent).
 func (s *Server) Close() {
 	s.stopSweeper()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.pool.Drain(ctx)
 	if s.jl != nil {
 		s.jl.Close()
 	}

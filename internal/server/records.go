@@ -231,7 +231,7 @@ func (s *Server) captureSession(sess *Session) *sessionSnap {
 		return nil
 	}
 	g := sess.graph()
-	ss.State = resilience.CaptureSession(g, sess.labels())
+	ss.State = resilience.CaptureSession(g, sess.inc.Labels())
 	ss.RNG = strconv.FormatUint(sess.rng.State(), 10)
 	ss.Clock = int64(sess.clock)
 	ss.Batches = sess.batches
@@ -249,13 +249,10 @@ func (sess *Session) faultBearing() bool {
 	return sess.spec.Faults > 0 || sess.spec.Events > 0
 }
 
-// graph returns the session's committed graph: the scalar engine's
-// shadow, or (packed) the generator-side mirror that tracks it
+// graph returns the session's committed graph: the generator-side
+// mirror (pixel image or edge stream) that tracks the engine's graph
 // update-for-update.
 func (sess *Session) graph() *workload.Graph {
-	if sess.sinc != nil {
-		return sess.sinc.Graph()
-	}
 	if sess.img != nil {
 		return sess.img.Graph()
 	}

@@ -9,9 +9,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/algorithms/graph"
 	"repro/internal/journal"
-	"repro/internal/packed"
 	"repro/internal/vlsi"
 	"repro/internal/workload"
 )
@@ -182,21 +180,8 @@ func (s *Server) restoreSession(ss *sessionSnap) error {
 	} else {
 		sess.stream = g.Clone()
 	}
-	if spec.Packed {
-		eng, err := packed.EngineFor(spec.N, j.config(), j.network() == "scaled")
-		if err != nil {
-			return err
-		}
-		sess.pinc = packed.ResumeIncremental(eng, g, ss.State.Labels)
-		sess.area = eng.Area()
-	} else {
-		m, err := s.scache.CheckoutContext(context.Background(), sess.key, j.build)
-		if err != nil {
-			return err
-		}
-		sess.sinc = graph.ResumeIncremental(m, g, ss.State.Labels)
-		sess.m = m
-		sess.area = m.Area()
+	if _, err := s.startEngine(context.Background(), sess, g, ss.State.Labels); err != nil {
+		return err
 	}
 	sess.clock = vlsi.Time(ss.Clock)
 	sess.batches = ss.Batches
@@ -344,7 +329,7 @@ func (s *Server) verifyRecovered() error {
 		failed := sess.failed != nil || sess.closed
 		var got, want []int64
 		if !failed {
-			got = sess.labels()
+			got = sess.inc.Labels()
 			want = workload.NewOracle(sess.graph()).Labels()
 		}
 		sess.lock.Unlock()

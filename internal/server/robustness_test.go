@@ -455,6 +455,38 @@ func TestDrain(t *testing.T) {
 	}
 }
 
+// TestCloseJoinsWorkers: every Open/Close cycle joins the worker
+// pool, so repeated cycles leave the goroutine count at its baseline,
+// and a Drain after Close stays safe (on a journaling server its final
+// compaction fails on the closed journal, which is expected).
+func TestCloseJoinsWorkers(t *testing.T) {
+	g0 := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		cfg := Config{Workers: 4}
+		if i%2 == 1 {
+			cfg.JournalDir = t.TempDir()
+		}
+		s, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		if i%3 == 0 {
+			err := s.Drain(context.Background())
+			if cfg.JournalDir == "" && err != nil {
+				t.Fatalf("drain after close: %v", err)
+			}
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > g0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak after Open/Close cycles: %d alive, baseline %d", runtime.NumGoroutine(), g0)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestValidation pins 400 on malformed jobs.
 func TestValidation(t *testing.T) {
 	ts := testServer(t, Config{Workers: 1})

@@ -100,11 +100,11 @@ type Session struct {
 	lock     sync.Mutex
 	lastUsed time.Time
 
-	// Exactly one engine is non-nil.
-	pinc *packed.Incremental
-	sinc *graph.Incremental
-	m    *core.Machine
-	key  mcache.Key
+	// inc is the labeling engine (startEngine); m is the scalar
+	// engine's checked-out machine, nil on packed sessions.
+	inc labeler
+	m   *core.Machine
+	key mcache.Key
 
 	// Update generation state: the RNG that continues the stream, the
 	// generator's shadow graph (non-grid) or the pixel image (grid).
@@ -130,6 +130,14 @@ type Session struct {
 	// observable in reports, so snapshot compaction preserves the full
 	// input stream and recovery replays it from origin.
 	history []*updateRequest
+}
+
+// labeler is a session's streamed-labeling engine: graph.Incremental
+// on a checked-out machine or the machine-free packed.Incremental.
+type labeler interface {
+	ApplyBatch(batch []workload.EdgeUpdate, rel vlsi.Time) ([]int64, vlsi.Time)
+	Labels() []int64
+	Stats() graph.BatchStats
 }
 
 // sessionTable is the server's session registry. reserved counts
@@ -302,37 +310,11 @@ func (s *Server) createSession(ctx context.Context, id string, spec *SessionSpec
 		sess.stream = g.Clone()
 	}
 
-	if spec.Packed {
-		eng, err := packed.EngineFor(spec.N, j.config(), j.network() == "scaled")
-		if err != nil {
-			return nil, nil, http.StatusInternalServerError, err.Error()
-		}
-		var t0 vlsi.Time
-		sess.pinc, t0 = packed.NewIncremental(eng, g, 0)
-		sess.clock = t0
-		sess.area = eng.Area()
-		return sess, s.sessionReport(sess, 0, t0, graph.BatchStats{}, nil, 0), 0, ""
-	}
-
-	m, err := s.scache.CheckoutContext(ctx, sess.key, j.build)
+	t0, err := s.startEngine(ctx, sess, g, nil)
 	if err != nil {
 		return nil, nil, http.StatusInternalServerError, err.Error()
 	}
-	if spec.Faults > 0 {
-		if err := m.InjectFaults(fault.Random(spec.N, spec.Faults, spec.Seed)); err != nil {
-			s.scache.Return(sess.key, m)
-			return nil, nil, http.StatusInternalServerError, err.Error()
-		}
-	}
-	var t0 vlsi.Time
-	sess.sinc, t0 = graph.NewIncremental(m, g, 0)
-	if err := m.Err(); err != nil {
-		s.scache.Return(sess.key, m)
-		return nil, nil, http.StatusInternalServerError, err.Error()
-	}
-	sess.m = m
 	sess.clock = t0
-	sess.area = m.Area()
 	if spec.Events > 0 {
 		// Arrivals land across the update phase: a window of eight
 		// initial-labeling durations starting at the checkout clock.
@@ -344,6 +326,54 @@ func (s *Server) createSession(ctx context.Context, id string, spec *SessionSpec
 		sess.sched.Sort()
 	}
 	return sess, s.sessionReport(sess, 0, t0, graph.BatchStats{}, nil, 0), 0, ""
+}
+
+// startEngine builds the session's labeling engine over g — the packed
+// engine when the spec asks for it, otherwise the scalar engine on a
+// machine checked out of the session cache with the spec's static
+// faults injected — and sets sess.inc, sess.m and sess.area. With nil
+// labels it runs the initial labeling and returns its completion
+// time; otherwise it adopts labels at no simulated cost, as recovery
+// does. On failure the machine (if any) goes back to the cache.
+func (s *Server) startEngine(ctx context.Context, sess *Session, g *workload.Graph, labels []int64) (vlsi.Time, error) {
+	spec := sess.spec
+	j := spec.job()
+	var t0 vlsi.Time
+	if spec.Packed {
+		eng, err := packed.EngineFor(spec.N, j.config(), j.network() == "scaled")
+		if err != nil {
+			return 0, err
+		}
+		if labels != nil {
+			sess.inc = packed.ResumeIncremental(eng, g, labels)
+		} else {
+			sess.inc, t0 = packed.NewIncremental(eng, g, 0)
+		}
+		sess.area = eng.Area()
+		return t0, nil
+	}
+	m, err := s.scache.CheckoutContext(ctx, sess.key, j.build)
+	if err != nil {
+		return 0, err
+	}
+	if spec.Faults > 0 {
+		err = m.InjectFaults(fault.Random(spec.N, spec.Faults, spec.Seed))
+	}
+	if err == nil {
+		if labels != nil {
+			sess.inc = graph.ResumeIncremental(m, g, labels)
+		} else {
+			sess.inc, t0 = graph.NewIncremental(m, g, 0)
+		}
+		err = m.Err()
+	}
+	if err != nil {
+		s.scache.Return(sess.key, m)
+		return 0, err
+	}
+	sess.m = m
+	sess.area = m.Area()
+	return t0, nil
 }
 
 // sessionReport builds the shared-schema report for batch b (0 = the
@@ -365,7 +395,7 @@ func (s *Server) sessionReport(sess *Session, batch int, dur vlsi.Time, st graph
 		Batch:       batch,
 		Updates:     st.Updates,
 		Affected:    st.Affected,
-		Components:  distinctLabels(sess.labels()),
+		Components:  distinctLabels(sess.inc.Labels()),
 	}
 	if sess.m != nil && (spec.Faults > 0 || spec.Events > 0) {
 		rep.Health = report.HealthOf(sess.m.Health())
@@ -374,14 +404,6 @@ func (s *Server) sessionReport(sess *Session, batch int, dur vlsi.Time, st graph
 		rep.Error = runErr.Error()
 	}
 	return rep
-}
-
-// labels returns the committed labels of whichever engine is live.
-func (sess *Session) labels() []int64 {
-	if sess.pinc != nil {
-		return sess.pinc.Labels()
-	}
-	return sess.sinc.Labels()
 }
 
 func distinctLabels(labels []int64) int {
@@ -487,7 +509,7 @@ func (s *Server) writeSessionInfo(w http.ResponseWriter, sess *Session) {
 	info := sessionInfo{
 		SessionID: sess.id, N: sess.spec.N, Packed: sess.spec.Packed, Grid: sess.spec.Grid,
 		Clock: int64(sess.clock), Batches: sess.batches, Updates: sess.updates,
-		Components: distinctLabels(sess.labels()),
+		Components: distinctLabels(sess.inc.Labels()),
 	}
 	if sess.failed != nil {
 		info.Failed = sess.failed.Error()
@@ -624,31 +646,30 @@ func (s *Server) applyUpdateLocked(sess *Session, req *updateRequest) (*report.R
 	var st graph.BatchStats
 	delivered := 0
 	var runErr error
-	switch {
-	case sess.pinc != nil:
-		_, done = sess.pinc.ApplyBatch(batch, before)
-		st = sess.pinc.Stats()
-	case sess.sched != nil && sess.cursor < len(sess.sched.Events):
+	if sess.sched != nil && sess.cursor < len(sess.sched.Events) {
 		// Compose the remaining fault arrivals with this batch on the
-		// session clock.
+		// session clock. Only scalar sessions schedule arrivals
+		// (Validate), and the supervisor drives the machine engine.
 		rem := fault.NewSchedule(sess.sched.Seed)
 		for _, e := range sess.sched.Events[sess.cursor:] {
 			rem.Add(e.At, e.Site)
 		}
-		prog, out := resilience.IncrementalBatchProgram(sess.sinc, batch)
+		prog, out := resilience.IncrementalBatchProgram(sess.inc.(*graph.Incremental), batch)
 		done, runErr = resilience.Run(sess.m, rem, prog, before, resilience.Options{})
 		if runErr == nil {
 			out()
-			st = sess.sinc.Stats()
+			st = sess.inc.Stats()
 			for sess.cursor < len(sess.sched.Events) && sess.sched.Events[sess.cursor].At <= done {
 				sess.cursor++
 				delivered++
 			}
 		}
-	default:
-		_, done = sess.sinc.ApplyBatch(batch, before)
-		st = sess.sinc.Stats()
-		runErr = sess.m.Err()
+	} else {
+		_, done = sess.inc.ApplyBatch(batch, before)
+		st = sess.inc.Stats()
+		if sess.m != nil {
+			runErr = sess.m.Err()
+		}
 	}
 
 	if runErr != nil {

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"sync"
+	"unsafe"
 
 	"repro/internal/vlsi"
 )
@@ -83,9 +84,21 @@ type planStep struct {
 	perLeaf []vlsi.Time
 }
 
-// planMaxSteps bounds a plan's memory on streams that never Reset:
-// recording freezes at the cap and the tail stays interpreted.
-const planMaxSteps = 4096
+// planMaxBytes bounds a plan's memory on streams that never Reset —
+// a resident session machine records its whole batch stream as one
+// plan that never replays: recording freezes once the recorded steps
+// and their per-leaf vectors reach the cap, and the tail stays
+// interpreted. Plans of complete runs stay below it: a scalar
+// components run at K=256 records ~21 KiB per round on a column tree,
+// so even its ⌈log₂ K⌉+2 = 10-round worst case (~210 KiB) freezes
+// whole, and the largest analysis-cell plan (OTC emulation) is ~50
+// KiB.
+const planMaxBytes = 256 << 10
+
+// stepBytes is the memory one recorded step retains.
+func stepBytes(st *planStep) int {
+	return int(unsafe.Sizeof(*st)) + 8*(len(st.perLeaf)+len(st.rels))
+}
 
 // RoutePlan is a frozen, immutable, shareable recording of one
 // operation stream from a Reset (all-zero occupancy) onward.
@@ -99,10 +112,14 @@ type RoutePlan struct {
 	// snapshot, batch fan-out) restores them with one O(K) copy
 	// instead of re-interpreting the whole prefix.
 	endUp, endDown []vlsi.Time
-	// full marks a plan frozen at planMaxSteps: exhausting it does
-	// not restart recording.
-	full bool
+	// bytes is the steps' retained memory (stepBytes summed).
+	bytes int
 }
+
+// truncated reports whether the plan froze at planMaxBytes rather
+// than at the end of its stream; exhausting it does not restart
+// recording.
+func (p *RoutePlan) truncated() bool { return p.bytes >= planMaxBytes }
 
 // Len returns the number of recorded steps (test/bench introspection).
 func (p *RoutePlan) Len() int {
@@ -115,7 +132,16 @@ func (p *RoutePlan) Len() int {
 // planRecorder accumulates steps between Reset and freeze.
 type planRecorder struct {
 	steps    []planStep
+	bytes    int
 	startAsc uint64
+}
+
+// add appends one step and reports whether the recording reached
+// planMaxBytes.
+func (r *planRecorder) add(st planStep) bool {
+	r.steps = append(r.steps, st)
+	r.bytes += stepBytes(&st)
+	return r.bytes >= planMaxBytes
 }
 
 // planKey addresses a cache slot: same shape, same fault view, same
@@ -268,6 +294,10 @@ func (t *Tree) HasRoutePlan() bool { return t.plan != nil }
 // RoutePlanLen returns the step count of the current plan.
 func (t *Tree) RoutePlanLen() int { return t.plan.Len() }
 
+// RoutePlanTruncated reports whether the current plan was frozen at
+// the recording bound rather than covering its whole stream.
+func (t *Tree) RoutePlanTruncated() bool { return t.plan != nil && t.plan.truncated() }
+
 // zeroOcc clears the occupancy arrays (the interpreter's Reset).
 func (t *Tree) zeroOcc() {
 	for v := range t.upFree {
@@ -327,12 +357,13 @@ func (t *Tree) planStep(op planOp, a, b int32, rel vlsi.Time, rels []vlsi.Time) 
 func (t *Tree) planExhausted(p *RoutePlan) {
 	t.sync()
 	t.plan = nil
-	if !p.full && !t.compileOff {
+	if !p.truncated() && !t.compileOff {
 		// startAsc is chosen so the extended plan's delta equals the
 		// prefix's delta plus whatever the interpreted tail adds: the
 		// counter is currently at (run start + prefix delta).
 		t.rec = &planRecorder{
 			steps:    append(make([]planStep, 0, len(p.steps)+16), p.steps...),
+			bytes:    p.bytes,
 			startAsc: t.ascents - (p.endAscents - p.startAscents),
 		}
 	}
@@ -364,8 +395,7 @@ func (t *Tree) adoptOrRecord(op planOp, a, b int32, rel vlsi.Time, rels []vlsi.T
 // cap the plan freezes in place (arrays hold exactly the recorded end
 // state) and the tail of the run stays interpreted.
 func (t *Tree) record(st planStep) {
-	t.rec.steps = append(t.rec.steps, st)
-	if len(t.rec.steps) >= planMaxSteps {
+	if t.rec.add(st) {
 		t.freezePlan()
 		if t.plan != nil {
 			t.pos = len(t.plan.steps)
@@ -393,7 +423,7 @@ func (t *Tree) freezePlan() {
 		steps:        rec.steps,
 		endUp:        append([]vlsi.Time(nil), t.upFree...),
 		endDown:      append([]vlsi.Time(nil), t.downFree...),
-		full:         len(rec.steps) >= planMaxSteps,
+		bytes:        rec.bytes,
 	}
 	t.plan = p
 	if t.cache != nil && !t.compileOff {
@@ -486,6 +516,9 @@ func (bb *Batch) SetCompile(on bool) {
 // HasRoutePlan reports whether the batch holds a compiled plan.
 func (bb *Batch) HasRoutePlan() bool { return bb.plan != nil }
 
+// RoutePlanTruncated is Tree.RoutePlanTruncated for the batch.
+func (bb *Batch) RoutePlanTruncated() bool { return bb.plan != nil && bb.plan.truncated() }
+
 // zeroOccU clears lane 0's occupancy slots. Lanes >= 1 are left
 // stale: uniform mode reads and writes lane 0 only, and materialize
 // overwrites every other lane from lane 0 before per-lane mode can
@@ -519,8 +552,8 @@ func (bb *Batch) planStepU(op planOp, a, b int32, rel vlsi.Time) *planStep {
 	if bb.pos >= len(p.steps) {
 		bb.syncU()
 		bb.plan = nil
-		if !p.full && !bb.compileOff {
-			bb.rec = &planRecorder{steps: append(make([]planStep, 0, len(p.steps)+16), p.steps...)}
+		if !p.truncated() && !bb.compileOff {
+			bb.rec = &planRecorder{steps: append(make([]planStep, 0, len(p.steps)+16), p.steps...), bytes: p.bytes}
 		}
 		return nil
 	}
@@ -554,8 +587,7 @@ func (bb *Batch) adoptOrRecordU(op planOp, a, b int32, rel vlsi.Time) {
 // recordU appends one uniform operation; at the cap the plan freezes
 // in place like the tree's.
 func (bb *Batch) recordU(st planStep) {
-	bb.rec.steps = append(bb.rec.steps, st)
-	if len(bb.rec.steps) >= planMaxSteps {
+	if bb.rec.add(st) {
 		bb.freezeU()
 		if bb.plan != nil {
 			bb.pos = len(bb.plan.steps)
@@ -580,7 +612,7 @@ func (bb *Batch) freezeU() {
 		steps:   rec.steps,
 		endUp:   make([]vlsi.Time, k2),
 		endDown: make([]vlsi.Time, k2),
-		full:    len(rec.steps) >= planMaxSteps,
+		bytes:   rec.bytes,
 	}
 	for v := 0; v < k2; v++ {
 		p.endUp[v] = bb.upFree[v*bb.b]
